@@ -612,6 +612,20 @@ fn measure_prefix_churn(cache_kb: u64, ttl: u64, spill: bool, requests: usize) -
     }
 }
 
+/// The host CPU's model name from `/proc/cpuinfo` (Linux), stated next
+/// to the wall-clock numbers; "unknown" where that file is absent.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 struct ForwardPoint {
     label: &'static str,
     ns_per_token: f64,
@@ -1101,6 +1115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     json.push_str(&format!("  \"model\": \"{model_name}\",\n"));
     json.push_str(&format!("  \"gen_tokens\": {},\n", args.gen_tokens));
     json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
+    json.push_str(&format!("  \"host_cpu\": \"{}\",\n", host_cpu().replace(['"', '\\'], "")));
     if host_parallelism < 2 {
         json.push_str(
             "  \"note\": \"host exposes a single CPU: speedup_vs_serial measures threading \
@@ -1109,10 +1124,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     json.push_str(
-        "  \"forward_path_note\": \"scratch wall-clock wins scale with the allocation share of \
-         a token: visible on the tiny geometry, noise-level on compute-bound geometries — the \
-         durable scratch guarantee is the zero-allocation pin in \
-         crates/model/tests/zero_alloc.rs\",\n",
+        "  \"forward_path_note\": \"one sequence, one token per call: forward_with_scratch is a \
+         one-row forward_batch with logits on, and forward_in wraps it with a fresh scratch, so \
+         the ratio is the cost of allocating the buffers — visible on the tiny geometry, \
+         noise-level on compute-bound geometries; the durable guarantee is the zero-allocation \
+         pins in crates/model/tests/zero_alloc.rs and zero_alloc_batch.rs. The tied LM head is \
+         an outer-product GEMM over the (D, V) embedding (it was a sequential dot per vocabulary \
+         row, about 1.8-1.9 ms per small-model token in total)\",\n",
+    );
+    json.push_str(
+        "  \"engine_decode_note\": \"wall-clock on the host named by host_cpu; at one thread \
+         tokens/s grows with batch because each tick runs one row-batched, layer-major forward \
+         over every session (each weight matrix streams once per tick) and computes logits only \
+         for rows whose logits are read. With a forward pass per session it was flat at 532-621 \
+         tokens/s from batch 1 to 16\",\n",
     );
     json.push_str("  \"forward_path\": [\n");
     for (i, (name, alloc_ns, scratch_ns)) in forward_rows.iter().enumerate() {

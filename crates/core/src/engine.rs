@@ -36,12 +36,17 @@
 //! prefill observes attention scores without evicting, exactly like
 //! instant prefill (VEDA Fig. 3's reserved + voting stages).
 //!
-//! With [`EngineBuilder::decode_threads`] the per-session work of a tick
-//! (decode steps *and* prefill chunks) fans out across scoped worker
-//! threads — order-preserving and byte-identical to the serial schedule —
-//! while each session's forward pass runs through its own reusable
-//! [`ForwardScratch`], so steady-state decode performs zero per-token
-//! heap allocations.
+//! **The forward pass is row-batched.** Each tick, a worker gathers one
+//! row per decoding session plus every row of every prefilling session's
+//! chunk and runs them through one layer-major
+//! [`TransformerModel::forward_batch`], so each weight matrix streams
+//! once per tick rather than once per token. The tied LM head runs only
+//! for the rows whose logits are read — decode rows and the row that
+//! completes a prompt — mirroring what [`DecodeScheduler::mixed_batch`]
+//! charges. With [`EngineBuilder::decode_threads`] the sessions of a tick
+//! split into contiguous groups, one worker and one reusable
+//! [`ForwardScratch`] each — order-preserving and byte-identical to the
+//! serial schedule.
 //!
 //! Per-request accounting stays single-sequence and decode-only: each
 //! finished session yields the exact [`SimulationReport`] the legacy
@@ -62,7 +67,8 @@
 //! resident KV bytes, [`Engine::pause`] / [`Engine::resume`] take a
 //! session out of (and back into) the batched tick without touching its
 //! KV state — a paused session's token stream continues exactly where it
-//! left off, because each session decodes greedily from its own logits —
+//! left off, because each session carries the greedy pick from its own
+//! last logits —
 //! and [`Engine::tighten_budget`] shrinks a session's resident cap under
 //! memory pressure (the next tick evicts down to it).
 
@@ -72,10 +78,10 @@ use veda_accel::arch::{ArchConfig, DataflowVariant};
 use veda_accel::attention::decode_attention_cycles;
 use veda_accel::schedule::{DecodeScheduler, LlamaShape, PrefillChunk};
 use veda_cost::EnergyModel;
-use veda_eviction::{EvictionPolicy, PolicyKind};
+use veda_eviction::{EvictionPolicy, PolicyKind, ScoreView};
 use veda_mem::HbmConfig;
-use veda_model::{ForwardScratch, ModelConfig, SequenceState, TransformerModel};
-use veda_telemetry::{TraceEventKind, Tracer};
+use veda_model::{BatchRow, ForwardScratch, ModelConfig, SequenceState, TransformerModel};
+use veda_telemetry::{saturating_u32, TraceEventKind, Tracer};
 
 use crate::error::BuildError;
 use crate::prefix::{
@@ -665,6 +671,7 @@ impl EngineBuilder {
             scheduler,
             energy,
             decode_threads: self.decode_threads.max(1),
+            scratches: (0..self.decode_threads.max(1)).map(|_| ForwardScratch::new()).collect(),
             prefill_chunk: self.prefill_chunk.max(1),
             tick_token_budget: self.tick_token_budget.max(1),
             prefix_cache: self.prefix_cache.map(PrefixCache::new),
@@ -697,9 +704,10 @@ struct ActiveSession {
     resident_cap: usize,
     policies: Vec<Box<dyn EvictionPolicy>>,
     state: SequenceState,
-    /// Reusable forward-pass buffers; after each step `scratch.logits()`
-    /// holds the logits the *next* step decodes greedily from.
-    scratch: ForwardScratch,
+    /// The greedy argmax of the last logits this session computed (its
+    /// prompt-completing row, then each decode row): the token the next
+    /// decode step feeds. Meaningless while the session is prefilling.
+    next_token: usize,
     /// Reusable per-layer eviction victim list (original slot indices).
     victims: Vec<usize>,
     /// The request's prompt; consumed by prefill (instantly at submit or
@@ -748,34 +756,9 @@ impl ActiveSession {
     }
 }
 
-/// Consumes the next `tokens` prompt tokens of `session`: forward pass
-/// per token, policies observe the attention scores, **no eviction**
-/// (Fig. 3's reserved + voting stages). Shared by instant prefill at
-/// [`Engine::submit`] and chunked prefill inside [`Engine::step`], so the
-/// two paths are op-for-op identical.
-fn run_prefill(model: &TransformerModel, session: &mut ActiveSession, tokens: usize) {
-    for i in session.prefilled..session.prefilled + tokens {
-        let token = session.prompt[i];
-        let position = session.position;
-        let ActiveSession { state, scratch, policies, .. } = session;
-        model.forward_with_scratch(state, token, position, scratch);
-        for (layer, policy) in policies.iter_mut().enumerate() {
-            policy.on_append();
-            policy.observe(scratch.scores().layer(layer));
-        }
-        if let Some(obs) = session.prefix_obs.as_mut() {
-            // This prompt is a prefix-cache insertion candidate: record
-            // the token's observation stream for later replay.
-            obs.push(session.scratch.scores().clone());
-        }
-        session.position += 1;
-    }
-    session.prefilled += tokens;
-}
-
 /// Replays a prefix-cache hit into a freshly built session: the first
 /// `matched` recorded observation streams are fed to the policy stack in
-/// exactly the order [`run_prefill`] would have produced them — per token,
+/// exactly the order prefill's forward pass would have produced them — per token,
 /// every layer appends then observes — so the policies' internal state
 /// (H2O score sums, vote counts, windows) is bit-identical to having run
 /// the shared span's forward passes, which were skipped.
@@ -816,37 +799,127 @@ struct StepContext<'a> {
 }
 
 impl StepContext<'_> {
-    /// Executes one session's tick plan, returning its event (`None` for
-    /// [`Plan::Wait`]).
-    fn execute(&self, session: &mut ActiveSession, plan: Plan) -> Option<TokenEvent> {
-        match plan {
-            Plan::Wait => None,
-            Plan::Decode { l_before, solo_cycles } => Some(self.advance(session, l_before, solo_cycles)),
-            Plan::Prefill { tokens } => Some(self.prefill(session, tokens)),
+    /// Runs one worker's share of a tick: gathers a row per decoding
+    /// session and the chunk rows of every prefilling session, runs them
+    /// through one row-batched [`TransformerModel::forward_batch`], then
+    /// finishes each session — returning one event per session (`None`
+    /// for [`Plan::Wait`]). Instant prefill at [`Engine::submit`] is the
+    /// same call over a single session.
+    ///
+    /// Prefill rows are observe-only (Fig. 3's reserved + voting stages):
+    /// every layer's policy appends and observes, nothing is evicted.
+    /// Decode rows are observed the same way during the pass; after it,
+    /// each session's per-layer policies evict down to its budget. Each
+    /// policy sees exactly the call sequence a one-token-at-a-time pass
+    /// produced: a layer's policy only ever observes its own layer, in
+    /// position order. Logits are computed only where they are read.
+    fn run(
+        &self,
+        sessions: &mut [ActiveSession],
+        plans: &[Plan],
+        scratch: &mut ForwardScratch,
+    ) -> Vec<Option<TokenEvent>> {
+        let mut rows: Vec<BatchRow> = Vec::new();
+        for (seq, (session, plan)) in sessions.iter_mut().zip(plans).enumerate() {
+            match *plan {
+                Plan::Wait => {}
+                Plan::Decode { .. } => rows.push(BatchRow {
+                    seq,
+                    token: session.next_token,
+                    position: session.position,
+                    wants_logits: true,
+                }),
+                Plan::Prefill { tokens } => {
+                    let chunk = session.prompt.iter().skip(session.prefilled).take(tokens);
+                    let completes = session.prefilled + tokens == session.prompt.len();
+                    for (i, &token) in chunk.enumerate() {
+                        let wants_logits = completes && i + 1 == tokens;
+                        rows.push(BatchRow { seq, token, position: session.position + i, wants_logits });
+                    }
+                    if let Some(obs) = session.prefix_obs.as_mut() {
+                        // Sized for the row's blocks in every layer (prefill
+                        // never evicts, so each layer holds every earlier
+                        // row): the cache keeps these for the entry's life.
+                        let config = self.model.config();
+                        let cached = session.state.cache_len();
+                        obs.extend((1..=tokens).map(|i| {
+                            ScoreBuffer::with_capacity(
+                                config.n_layers,
+                                config.n_layers * config.n_heads * (cached + i),
+                            )
+                        }));
+                    }
+                }
+            }
         }
+
+        // Split each session into the state the pass writes and the
+        // observers its score blocks feed.
+        let mut states = Vec::with_capacity(sessions.len());
+        let mut observers = Vec::with_capacity(sessions.len());
+        for session in sessions.iter_mut() {
+            let ActiveSession { state, policies, prefix_obs, .. } = session;
+            states.push(state);
+            observers.push((policies, prefix_obs.as_mut()));
+        }
+        self.model.forward_batch(&mut states, &rows, scratch, |row, layer, scores: ScoreView<'_>| {
+            let Some((policies, recording)) = observers.get_mut(row.seq) else { return };
+            if let Some(policy) = policies.get_mut(layer) {
+                policy.on_append();
+                policy.observe(scores);
+            }
+            // A prefix-cache insertion candidate records every prompt
+            // token's observations for later replay; such a prompt
+            // missed the cache, so its rows start at position 0.
+            if let Some(step) = recording.as_mut().and_then(|obs| obs.get_mut(row.position)) {
+                step.push_layer(scores);
+            }
+        });
+
+        let mut logits_rows = 0;
+        let mut next_token = || {
+            let token = scratch
+                .row_logits(logits_rows)
+                .and_then(veda_tensor::stats::argmax)
+                .expect("one logits row per decode or prompt-completing row");
+            logits_rows += 1;
+            token
+        };
+        sessions
+            .iter_mut()
+            .zip(plans)
+            .map(|(session, &plan)| match plan {
+                Plan::Wait => None,
+                Plan::Decode { l_before, solo_cycles } => {
+                    let event = self.finish_decode(session, l_before, solo_cycles);
+                    session.next_token = next_token();
+                    Some(event)
+                }
+                Plan::Prefill { tokens } => {
+                    session.position += tokens;
+                    session.prefilled += tokens;
+                    let remaining = session.prompt.len() - session.prefilled;
+                    if remaining == 0 {
+                        session.next_token = next_token();
+                    }
+                    Some(TokenEvent::PrefillProgress {
+                        session: session.id,
+                        tokens,
+                        remaining,
+                        cache_len: session.state.cache_len(),
+                        finished: remaining == 0 && session.max_new_tokens == 0,
+                    })
+                }
+            })
+            .collect()
     }
 
-    /// Consumes one prefill chunk (observe-only forward passes — see
-    /// [`run_prefill`]) and reports the session's prefill progress.
-    fn prefill(&self, session: &mut ActiveSession, tokens: usize) -> TokenEvent {
-        run_prefill(self.model, session, tokens);
-        let remaining = session.prompt.len() - session.prefilled;
-        TokenEvent::PrefillProgress {
-            session: session.id,
-            tokens,
-            remaining,
-            cache_len: session.state.cache_len(),
-            finished: remaining == 0 && session.max_new_tokens == 0,
-        }
-    }
-
-    /// Advances one session by one token: greedy argmax over the previous
-    /// step's logits, single-sequence cost accounting (from the
-    /// pre-resolved `solo_cycles`), forward pass through the session's
-    /// scratch, then per-layer observe + evict down to the budget.
-    fn advance(&self, session: &mut ActiveSession, l_before: usize, solo_cycles: u64) -> TokenEvent {
-        // Greedy next token from the logits of the previous step.
-        let token = veda_tensor::stats::argmax(session.scratch.logits()).expect("non-empty logits");
+    /// Finishes one session's decode step after the batched pass fed it
+    /// `next_token`: single-sequence cost accounting (from the
+    /// pre-resolved `solo_cycles`), then per-layer eviction down to the
+    /// budget (the policies already observed the step's scores).
+    fn finish_decode(&self, session: &mut ActiveSession, l_before: usize, solo_cycles: u64) -> TokenEvent {
+        let token = session.next_token;
         session.generated.push(token);
 
         let attention_cycles = decode_attention_cycles(self.arch, self.variant, l_before);
@@ -855,17 +928,10 @@ impl StepContext<'_> {
         let solo_bytes = self.shape.weight_bytes_per_token() + self.shape.kv_bytes_per_token(l_before);
         session.total_energy_mj += self.energy.token_energy_mj(solo_cycles, solo_bytes);
 
-        // Feed the token through the model; policies observe the flat
-        // score views and evict down to the session's budget.
-        let position = session.position;
         let resident_cap = session.resident_cap;
-        let ActiveSession { state, scratch, policies, victims, .. } = session;
-        self.model.forward_with_scratch(state, token, position, scratch);
+        let ActiveSession { state, policies, victims, .. } = session;
         let mut evictions = 0;
         for (layer, policy) in policies.iter_mut().enumerate() {
-            policy.on_append();
-            policy.observe(scratch.scores().layer(layer));
-
             // Victims are selected one at a time (each selection sees the
             // policy's compacted state, exactly as the serial protocol
             // demands) but the KV rows are removed in a single stable
@@ -964,6 +1030,9 @@ pub struct Engine {
     energy: EnergyModel,
     /// Worker threads one [`Engine::step`] fans sessions across (≥ 1).
     decode_threads: usize,
+    /// One reusable forward-pass scratch per worker (`decode_threads`
+    /// of them; instant prefill at submit uses the first).
+    scratches: Vec<ForwardScratch>,
     /// Prompt tokens one tick may consume per prefilling session
     /// (`usize::MAX` = instant prefill at submit).
     prefill_chunk: usize,
@@ -1452,7 +1521,7 @@ impl Engine {
             resident_cap,
             policies: (0..self.model.config().n_layers).map(|_| request.policy.build()).collect(),
             state: self.model.new_state(),
-            scratch: self.model.new_scratch(reserve_tokens),
+            next_token: 0,
             victims: Vec::new(),
             prompt: request.prompt,
             prefilled: 0,
@@ -1506,12 +1575,15 @@ impl Engine {
             // Instant prefill: consume the whole prompt now, off the
             // clock (the pre-chunking compatibility path).
             let tokens = session.prompt.len() - session.prefilled;
-            run_prefill(&self.model, &mut session, tokens);
+            let plans = [Plan::Prefill { tokens }];
+            let Engine { model, arch, energy, variant, scheduler, scratches, .. } = self;
+            let ctx = StepContext { model, arch, energy, variant: *variant, shape: *scheduler.shape() };
+            ctx.run(std::slice::from_mut(&mut session), &plans, &mut scratches[0]);
             self.harvest_prefix(&mut session);
             if tokens > 0 {
                 self.trace(
                     session.trace_id,
-                    TraceEventKind::PrefillChunk { tokens: tokens as u32, remaining: 0 },
+                    TraceEventKind::PrefillChunk { tokens: saturating_u32(tokens), remaining: 0 },
                 );
             }
             if session.max_new_tokens == 0 {
@@ -1647,32 +1719,25 @@ impl Engine {
         // Split field borrows instead of moving `active` out: a panic in a
         // downstream policy or model step must not vanish every in-flight
         // session (same guarantee class as `TransformerModel::forward_token`).
-        let Engine { active, model, arch, energy, variant, decode_threads, .. } = self;
+        let Engine { active, model, arch, energy, variant, decode_threads, scratches, .. } = self;
         let ctx = StepContext { model, arch, energy, variant: *variant, shape };
         let workers = (*decode_threads).min(active.len()).max(1);
         let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(active.len());
+        // Contiguous chunks of the session list, one worker (and one
+        // scratch) each; outcomes are concatenated in chunk order, so the
+        // tick's event order matches the serial path.
+        let chunk = active.len().div_ceil(workers);
+        let groups = active.chunks_mut(chunk).zip(plans.chunks(chunk)).zip(scratches.iter_mut());
         if workers == 1 {
-            for (session, &plan) in active.iter_mut().zip(&plans) {
-                outcomes.push(ctx.execute(session, plan));
+            for ((sessions, plans), scratch) in groups {
+                outcomes.extend(ctx.run(sessions, plans, scratch));
             }
         } else {
-            // Order-preserving fan-out: contiguous chunks of the session
-            // list, one worker each; outcomes are concatenated in chunk
-            // order, so the tick's event order matches the serial path.
-            let chunk = active.len().div_ceil(workers);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = active
-                    .chunks_mut(chunk)
-                    .zip(plans.chunks(chunk))
-                    .map(|(sessions, plans)| {
+                let handles: Vec<_> = groups
+                    .map(|((sessions, plans), scratch)| {
                         let ctx = &ctx;
-                        scope.spawn(move || {
-                            sessions
-                                .iter_mut()
-                                .zip(plans)
-                                .map(|(session, &plan)| ctx.execute(session, plan))
-                                .collect::<Vec<_>>()
-                        })
+                        scope.spawn(move || ctx.run(sessions, plans, scratch))
                     })
                     .collect();
                 for handle in handles {
@@ -1719,14 +1784,15 @@ impl Engine {
                             TraceEventKind::FirstToken
                         } else {
                             TraceEventKind::DecodeTick {
-                                evictions: *evictions as u32,
-                                cache_len: *cache_len as u32,
+                                evictions: saturating_u32(*evictions),
+                                cache_len: saturating_u32(*cache_len),
                             }
                         }
                     }
-                    TokenEvent::PrefillProgress { tokens, remaining, .. } => {
-                        TraceEventKind::PrefillChunk { tokens: *tokens as u32, remaining: *remaining as u32 }
-                    }
+                    TokenEvent::PrefillProgress { tokens, remaining, .. } => TraceEventKind::PrefillChunk {
+                        tokens: saturating_u32(*tokens),
+                        remaining: saturating_u32(*remaining),
+                    },
                 };
                 self.trace(session.trace_id, kind);
             }
@@ -1828,7 +1894,7 @@ impl Engine {
         self.release_seed_pin(&mut session);
         self.trace(
             session.trace_id,
-            TraceEventKind::Finished { generated_tokens: session.generated.len() as u32 },
+            TraceEventKind::Finished { generated_tokens: saturating_u32(session.generated.len()) },
         );
         let seconds = session.total_cycles as f64 / (self.arch.clock_ghz * 1e9);
         let report = SimulationReport {

@@ -1,18 +1,18 @@
 //! Multi-head attention with a pluggable KV cache, computed with the two
 //! GEMV interpretations VEDA maps to hardware.
 //!
-//! One decode step per call: the query row attends over all resident cache
-//! entries (`q × Kᵀ` via [`veda_tensor::ops::gemv_inner`] over `(l, d)` rows)
-//! and aggregates values (`s' × V` via [`veda_tensor::ops::gemv_outer`]).
-//! The per-head post-softmax score vectors are returned so eviction policies
-//! and the voting engine can observe them.
+//! One query row per call: the row attends over all resident cache
+//! entries (`q × Kᵀ` as inner products over `(l, d)` rows) and aggregates
+//! values (`s' × V` as an outer product over `(l, d)` rows). The per-head
+//! post-softmax score vectors are returned so eviction policies and the
+//! voting engine can observe them.
 
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
-use crate::rope::apply_rope;
-use crate::scratch::ForwardScratch;
+use crate::rope::{apply_rope_table, extend_rope_table};
 use crate::weights::LayerWeights;
-use veda_tensor::ops::{dot, gemv_outer_into};
+use veda_eviction::ScoreView;
+use veda_tensor::ops::{dot, gemv_outer};
 use veda_tensor::softmax::softmax_in_place;
 
 /// Result of one attention step.
@@ -25,65 +25,50 @@ pub struct AttentionOutput {
     pub head_scores: Vec<Vec<f32>>,
 }
 
-/// Runs one attention step for a single layer through reusable scratch
-/// buffers: reads the RMS-normed hidden state from `scratch.normed`,
-/// leaves the `W_O`-projected output in `scratch.attn_out` and appends the
-/// layer's head-major score block to `scratch.scores` (the segment is
-/// sealed here). Allocation-free once the scratch capacity is warm, and
-/// bit-identical to the historical allocating kernel.
-pub(crate) fn attend_into(
-    position: usize,
+/// The per-row core of one layer's attention, between the QKV and `W_O`
+/// projections (which the caller batches across rows): rotates the row's
+/// query and key (`qkv`, `d_model` each, heads of `dh` channels) by the
+/// position's RoPE table, appends the key/value to `cache` — so the row
+/// attends to itself and to every earlier row — and writes the
+/// head-major post-softmax scores over all resident slots into `scores`
+/// (cleared first) and the concatenated per-head outputs into `concat`
+/// (`d_model`, accumulated onto its contents, which the caller zeroes).
+/// Allocation-free once `scores` and the cache have capacity.
+pub(crate) fn attend_row(
     cache: &mut LayerKvCache,
-    w: &LayerWeights,
-    config: &ModelConfig,
-    scratch: &mut ForwardScratch,
+    position: usize,
+    rope: &[(f32, f32)],
+    dh: usize,
+    (q, k, v): (&mut [f32], &mut [f32], &[f32]),
+    scores: &mut Vec<f32>,
+    concat: &mut [f32],
 ) {
-    let d = config.d_model;
-    let dh = config.head_dim();
-    assert_eq!(scratch.normed.len(), d, "hidden state width mismatch");
-
-    // QKV generation (Step 1 of Fig. 1): x·W via the outer-product view.
-    gemv_outer_into(&scratch.normed, &w.wq, &mut scratch.q);
-    gemv_outer_into(&scratch.normed, &w.wk, &mut scratch.k);
-    gemv_outer_into(&scratch.normed, &w.wv, &mut scratch.v);
-
-    // RoPE per head on q and k.
-    for h in 0..config.n_heads {
-        apply_rope(&mut scratch.q[h * dh..(h + 1) * dh], position, config.rope_theta);
-        apply_rope(&mut scratch.k[h * dh..(h + 1) * dh], position, config.rope_theta);
+    for (qh, kh) in q.chunks_exact_mut(dh).zip(k.chunks_exact_mut(dh)) {
+        apply_rope_table(qh, rope);
+        apply_rope_table(kh, rope);
     }
-
-    cache.append(position, &scratch.k, &scratch.v);
-    let l = cache.len();
+    cache.append(position, k, v);
     let scale = 1.0 / (dh as f32).sqrt();
 
-    scratch.concat.clear();
-    scratch.concat.resize(d, 0.0);
-    for h in 0..config.n_heads {
+    scores.clear();
+    for (h, (qh, out)) in q.chunks_exact(dh).zip(concat.chunks_exact_mut(dh)).enumerate() {
         let span = h * dh..(h + 1) * dh;
-        let qh = &scratch.q[span.clone()];
         // q × Kᵀ: inner product over the (l, d) key rows — l is temporal.
-        let mark = scratch.scores.mark();
-        for row in 0..l {
-            scratch.scores.push(dot(qh, &cache.keys().row(row)[span.clone()]) * scale);
-        }
-        softmax_in_place(scratch.scores.segment_mut(mark));
+        let start = scores.len();
+        scores.extend(cache.keys().iter_rows().map(|key| dot(qh, &key[span.clone()]) * scale));
+        let (_, head) = scores.split_at_mut(start);
+        softmax_in_place(head);
         // s' × V: outer product over the (l, d) value rows — l is temporal.
-        let out = &mut scratch.concat[span.clone()];
-        for (row, &sv) in scratch.scores.segment(mark).iter().enumerate() {
-            let vrow = &cache.values().row(row)[span.clone()];
-            for (a, &vv) in out.iter_mut().zip(vrow) {
+        for (&sv, value) in head.iter().zip(cache.values().iter_rows()) {
+            for (a, &vv) in out.iter_mut().zip(&value[span.clone()]) {
                 *a += sv * vv;
             }
         }
     }
-    scratch.scores.seal_layer();
-
-    gemv_outer_into(&scratch.concat, &w.wo, &mut scratch.attn_out);
 }
 
 /// Runs one attention step for a single layer (allocating convenience
-/// wrapper over the crate-internal `attend_into` scratch kernel).
+/// wrapper over the crate-internal `attend_row` kernel).
 ///
 /// `x` is the RMS-normed hidden state of the current token, `position` its
 /// absolute index. The token's K/V vectors are appended to `cache` before
@@ -96,12 +81,18 @@ pub fn attend(
     w: &LayerWeights,
     config: &ModelConfig,
 ) -> AttentionOutput {
-    let mut scratch = ForwardScratch::new();
-    scratch.normed.extend_from_slice(x);
-    scratch.scores.begin_step(config.n_heads);
-    attend_into(position, cache, w, config, &mut scratch);
-    let head_scores = scratch.scores.layer(0).heads().map(<[f32]>::to_vec).collect();
-    AttentionOutput { output: std::mem::take(&mut scratch.attn_out), head_scores }
+    assert_eq!(x.len(), config.d_model, "hidden state width mismatch");
+    let mut q = gemv_outer(x, &w.wq);
+    let mut k = gemv_outer(x, &w.wk);
+    let v = gemv_outer(x, &w.wv);
+    let mut rope = Vec::new();
+    extend_rope_table(position, config.head_dim(), config.rope_theta, &mut rope);
+    let mut scores = Vec::new();
+    let mut concat = vec![0.0; config.d_model];
+    let dh = config.head_dim();
+    attend_row(cache, position, &rope, dh, (&mut q, &mut k, &v), &mut scores, &mut concat);
+    let head_scores = ScoreView::new(&scores, config.n_heads).heads().map(<[f32]>::to_vec).collect();
+    AttentionOutput { output: gemv_outer(&concat, &w.wo), head_scores }
 }
 
 #[cfg(test)]
@@ -118,7 +109,7 @@ mod tests {
     #[test]
     fn scores_are_distributions_over_cache() {
         let (cfg, w, mut cache) = setup();
-        let x = w.embed(5).to_vec();
+        let x = w.embed(5);
         for pos in 0..4 {
             let out = attend(&x, pos, &mut cache, &w.layers[0], &cfg);
             assert_eq!(out.head_scores.len(), cfg.n_heads);
@@ -133,7 +124,7 @@ mod tests {
     #[test]
     fn first_token_attends_only_to_itself() {
         let (cfg, w, mut cache) = setup();
-        let x = w.embed(3).to_vec();
+        let x = w.embed(3);
         let out = attend(&x, 0, &mut cache, &w.layers[0], &cfg);
         for s in &out.head_scores {
             assert!((s[0] - 1.0).abs() < 1e-6);
@@ -143,7 +134,7 @@ mod tests {
     #[test]
     fn output_width_is_d_model() {
         let (cfg, w, mut cache) = setup();
-        let x = w.embed(1).to_vec();
+        let x = w.embed(1);
         let out = attend(&x, 0, &mut cache, &w.layers[0], &cfg);
         assert_eq!(out.output.len(), cfg.d_model);
         assert!(out.output.iter().all(|v| v.is_finite()));
@@ -152,7 +143,7 @@ mod tests {
     #[test]
     fn cache_grows_by_one_per_step() {
         let (cfg, w, mut cache) = setup();
-        let x = w.embed(2).to_vec();
+        let x = w.embed(2);
         for pos in 0..5 {
             attend(&x, pos, &mut cache, &w.layers[0], &cfg);
             assert_eq!(cache.len(), pos + 1);
@@ -167,7 +158,7 @@ mod tests {
         let mut full = LayerKvCache::new();
         let mut full_out = Vec::new();
         for (pos, &t) in tokens.iter().enumerate() {
-            full_out = attend(w.embed(t), pos, &mut full, &w.layers[0], &cfg).output;
+            full_out = attend(&w.embed(t), pos, &mut full, &w.layers[0], &cfg).output;
         }
         // Run with one mid-entry evicted before the last step.
         let mut pruned = LayerKvCache::new();
@@ -176,7 +167,7 @@ mod tests {
             if pos == tokens.len() - 1 {
                 pruned.evict(2);
             }
-            pruned_out = attend(w.embed(t), pos, &mut pruned, &w.layers[0], &cfg).output;
+            pruned_out = attend(&w.embed(t), pos, &mut pruned, &w.layers[0], &cfg).output;
         }
         let diff = veda_tensor::ops::max_abs_diff(&full_out, &pruned_out);
         assert!(diff > 1e-6, "eviction must perturb the output, diff {diff}");
@@ -191,7 +182,7 @@ mod tests {
         let mut sink_mass = 0.0;
         let mut steps = 0;
         for (pos, &t) in seq.iter().enumerate() {
-            let out = attend(w.embed(t), pos, &mut cache, &w.layers[0], &cfg);
+            let out = attend(&w.embed(t), pos, &mut cache, &w.layers[0], &cfg);
             if pos >= 4 {
                 for s in &out.head_scores {
                     sink_mass += s[0];

@@ -56,4 +56,4 @@ pub use kvcache::LayerKvCache;
 pub use sampling::Sampler;
 pub use scratch::{ForwardScratch, ScoreBuffer};
 pub use trace::{AttentionTrace, SyntheticTraceConfig};
-pub use transformer::{SequenceState, StepOutput, TransformerModel};
+pub use transformer::{BatchRow, SequenceState, StepOutput, TransformerModel, MAX_PASS_ROWS};

@@ -13,15 +13,54 @@
 /// Panics if `x.len()` is odd.
 pub fn apply_rope(x: &mut [f32], position: usize, theta: f32) {
     assert!(x.len().is_multiple_of(2), "RoPE requires an even head dimension, got {}", x.len());
-    let half = x.len() / 2;
-    for i in 0..half {
-        let freq = theta.powf(-2.0 * i as f32 / x.len() as f32);
-        let angle = position as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = x[2 * i];
-        let b = x[2 * i + 1];
-        x[2 * i] = a * cos - b * sin;
-        x[2 * i + 1] = a * sin + b * cos;
+    let dim = x.len();
+    for (i, pair) in x.chunks_exact_mut(2).enumerate() {
+        rotate(pair, rope_sin_cos(i, dim, position, theta));
+    }
+}
+
+/// Appends to `table` the `(sin, cos)` of every channel pair's rotation
+/// angle at `position` for heads of `dim` channels — the part of RoPE
+/// that depends only on the position, so one row's table serves every
+/// head, both `q` and `k`, and every layer.
+/// [`apply_rope_table`] with this table is bit-identical to
+/// [`apply_rope`].
+pub fn extend_rope_table(position: usize, dim: usize, theta: f32, table: &mut Vec<(f32, f32)>) {
+    table.extend((0..dim / 2).map(|i| rope_sin_cos(i, dim, position, theta)));
+}
+
+/// Rotates the head vector `x` by one position's table from
+/// [`extend_rope_table`].
+///
+/// # Panics
+///
+/// Panics if `x` has a different number of channel pairs than `table`.
+pub fn apply_rope_table(x: &mut [f32], table: &[(f32, f32)]) {
+    assert_eq!(
+        x.len(),
+        2 * table.len(),
+        "RoPE table covers {} pairs, head has {} channels",
+        table.len(),
+        x.len()
+    );
+    for (pair, &sc) in x.chunks_exact_mut(2).zip(table) {
+        rotate(pair, sc);
+    }
+}
+
+/// `(sin, cos)` of pair `i`'s angle at `position` for `dim` channels.
+fn rope_sin_cos(i: usize, dim: usize, position: usize, theta: f32) -> (f32, f32) {
+    let freq = theta.powf(-2.0 * i as f32 / dim as f32);
+    let angle = position as f32 * freq;
+    angle.sin_cos()
+}
+
+/// Rotates one even/odd channel pair by the angle with `(sin, cos)`.
+fn rotate(pair: &mut [f32], (sin, cos): (f32, f32)) {
+    if let [a, b] = pair {
+        let (x0, x1) = (*a, *b);
+        *a = x0 * cos - x1 * sin;
+        *b = x0 * sin + x1 * cos;
     }
 }
 
@@ -77,6 +116,19 @@ mod tests {
             far += dot(&base, &roped(&x, 200, 10000.0));
         }
         assert!(near > far, "near {near} vs far {far}");
+    }
+
+    #[test]
+    fn table_rotation_is_bit_identical_to_apply_rope() {
+        let x = [0.3f32, -1.2, 2.0, 0.7, -0.1, 0.9, 1.5, -0.4];
+        let mut table = Vec::new();
+        for pos in [0, 1, 17, 4095] {
+            table.clear();
+            extend_rope_table(pos, x.len(), 10000.0, &mut table);
+            let mut y = x;
+            apply_rope_table(&mut y, &table);
+            assert_eq!(y.to_vec(), roped(&x, pos, 10000.0), "diverged at {pos}");
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Reusable per-sequence forward-pass scratch: the zero-allocation decode
-//! hot path.
+//! Reusable forward-pass scratch: the zero-allocation hot path of the
+//! row-batched forward.
 //!
-//! One token through [`crate::TransformerModel::forward_in`] historically
-//! allocated ~10 fresh `Vec`s per layer (q/k/v, per-head score vectors,
-//! softmax copies, gate/up/hidden/down, plus the nested
-//! `Vec<Vec<Vec<f32>>>` score tensor of the step output). A
-//! [`ForwardScratch`] owns all of those buffers once per sequence;
-//! [`crate::TransformerModel::forward_with_scratch`] threads them through
-//! every kernel so steady-state decode performs **zero per-token heap
-//! allocations** (pinned by a counting-allocator test) while producing
-//! bit-identical results — every in-place kernel keeps the f32 summation
-//! order of its allocating twin.
+//! One token through the forward pass historically allocated ~10 fresh
+//! `Vec`s per layer (q/k/v, per-head score vectors, softmax copies,
+//! gate/up/hidden/down, plus the nested `Vec<Vec<Vec<f32>>>` score tensor
+//! of the step output). A [`ForwardScratch`] owns all of those buffers,
+//! sized for a batch of rows;
+//! [`crate::TransformerModel::forward_batch`] threads them through every
+//! kernel so a steady-state pass performs **zero heap allocations**
+//! (pinned by counting-allocator tests) while producing bit-identical
+//! results — every batched kernel keeps the per-row f32 summation order
+//! of the one-row kernel it replaced.
 //!
-//! Attention-score observations land in a [`ScoreBuffer`]: one flat
-//! buffer for all layers and heads of the step, exposed to eviction
-//! policies as borrowed [`ScoreView`]s instead of nested vectors.
+//! Attention-score observations are handed to the caller one row-layer
+//! block at a time as borrowed [`ScoreView`]s; the one-row
+//! [`crate::TransformerModel::forward_with_scratch`] collects them into a
+//! [`ScoreBuffer`], one flat buffer for all layers and heads of the step.
 
 use veda_eviction::ScoreView;
 
@@ -36,6 +37,13 @@ impl ScoreBuffer {
     /// Creates an empty buffer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty buffer with room for `layers` layer segments
+    /// holding `scores` scores in total, so filling it to that size
+    /// allocates exactly once per backing vector.
+    pub fn with_capacity(layers: usize, scores: usize) -> Self {
+        Self { data: Vec::with_capacity(scores), ends: Vec::with_capacity(layers), n_heads: 0 }
     }
 
     /// Number of layers recorded in the current step.
@@ -60,71 +68,71 @@ impl ScoreBuffer {
         ScoreView::new(&self.data[start..self.ends[l]], self.n_heads)
     }
 
-    /// Resets the buffer for a new step, retaining capacity.
-    pub(crate) fn begin_step(&mut self, n_heads: usize) {
+    /// Appends one layer's head-major score block as the next layer
+    /// segment (the first layer fixes the head count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block's head count differs from earlier layers'.
+    pub fn push_layer(&mut self, scores: ScoreView<'_>) {
+        if self.ends.is_empty() {
+            self.n_heads = scores.n_heads();
+        }
+        assert_eq!(scores.n_heads(), self.n_heads, "score block head count mismatch");
+        self.data.extend_from_slice(scores.as_flat());
+        self.ends.push(self.data.len());
+    }
+
+    /// Empties the buffer for a new step, retaining capacity.
+    pub(crate) fn clear(&mut self) {
         self.data.clear();
         self.ends.clear();
-        self.n_heads = n_heads;
-    }
-
-    /// Current write position (start of the segment about to be written).
-    pub(crate) fn mark(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Appends one raw score.
-    pub(crate) fn push(&mut self, score: f32) {
-        self.data.push(score);
-    }
-
-    /// The mutable segment from `mark` to the end (for in-place softmax).
-    pub(crate) fn segment_mut(&mut self, mark: usize) -> &mut [f32] {
-        &mut self.data[mark..]
-    }
-
-    /// The segment from `mark` to the end.
-    pub(crate) fn segment(&self, mark: usize) -> &[f32] {
-        &self.data[mark..]
-    }
-
-    /// Closes the current layer's segment.
-    pub(crate) fn seal_layer(&mut self) {
-        self.ends.push(self.data.len());
     }
 }
 
-/// Reusable buffers for one sequence's forward pass (see the
-/// [module docs](self)). Create one per decoding session — via
-/// [`crate::TransformerModel::new_scratch`] to pre-size every buffer for
-/// the model geometry — and pass it to every
-/// [`crate::TransformerModel::forward_with_scratch`] call; after the call
-/// the next-token [`ForwardScratch::logits`] and the step's
-/// [`ForwardScratch::scores`] remain readable until the next call.
+/// Reusable buffers for the forward pass (see the [module docs](self)).
+/// Every activation buffer holds one row per batch row, row-major.
+/// Create one per worker — via [`crate::TransformerModel::new_scratch`]
+/// to pre-size the one-row buffers for the model geometry — and pass it
+/// to every [`crate::TransformerModel::forward_batch`] or
+/// [`crate::TransformerModel::forward_with_scratch`] call. After a call
+/// the requested logits ([`ForwardScratch::row_logits`]) and, for the
+/// one-row call, the step's [`ForwardScratch::scores`] remain readable
+/// until the next call.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
-    /// Residual-stream hidden state, length `d_model`.
+    /// Residual-stream hidden states, `rows × d_model`.
     pub(crate) hidden: Vec<f32>,
-    /// Pre-norm output feeding attention / FFN / the LM head.
+    /// Pre-norm outputs feeding attention / FFN / the LM head.
     pub(crate) normed: Vec<f32>,
-    /// Query projection, length `d_model`.
+    /// Query projections, `rows × d_model`.
     pub(crate) q: Vec<f32>,
-    /// Key projection, length `d_model`.
+    /// Key projections, `rows × d_model`.
     pub(crate) k: Vec<f32>,
-    /// Value projection, length `d_model`.
+    /// Value projections, `rows × d_model`.
     pub(crate) v: Vec<f32>,
-    /// Concatenated per-head attention outputs, length `d_model`.
+    /// Concatenated per-head attention outputs, `rows × d_model`.
     pub(crate) concat: Vec<f32>,
-    /// Attention output after `W_O`, length `d_model`.
+    /// Attention outputs after `W_O`, `rows × d_model`.
     pub(crate) attn_out: Vec<f32>,
-    /// FFN gate activation, length `ffn_hidden`.
+    /// FFN gate activations, `rows × ffn_hidden`.
     pub(crate) gate: Vec<f32>,
-    /// FFN up projection, length `ffn_hidden`.
+    /// FFN up projections, `rows × ffn_hidden`.
     pub(crate) up: Vec<f32>,
-    /// FFN down projection, length `d_model`.
+    /// FFN down projections, `rows × d_model`.
     pub(crate) down: Vec<f32>,
-    /// Next-token logits, length `vocab_size`.
+    /// RoPE `(sin, cos)` tables, `rows × head_dim / 2`.
+    pub(crate) rope: Vec<(f32, f32)>,
+    /// Hidden states of the rows that requested logits, compacted.
+    pub(crate) head_in: Vec<f32>,
+    /// One row-layer attention-score block, head-major.
+    pub(crate) row_scores: Vec<f32>,
+    /// Logits of the rows that requested them, in row order,
+    /// `requested × vocab_size`.
     pub(crate) logits: Vec<f32>,
-    /// All attention-score observations of the step.
+    /// Width of one logits row.
+    pub(crate) vocab: usize,
+    /// All attention-score observations of a one-row step.
     pub(crate) scores: ScoreBuffer,
 }
 
@@ -135,9 +143,10 @@ impl ForwardScratch {
         Self::default()
     }
 
-    /// Creates a scratch pre-sized for a model geometry, so even the
-    /// first forward pass allocates only inside the KV cache. `seq_hint`
-    /// pre-sizes the score buffer for an expected resident cache length.
+    /// Creates a scratch pre-sized for one-row passes over a model
+    /// geometry, so even the first [`crate::TransformerModel::forward_with_scratch`]
+    /// allocates only inside the KV cache. `seq_hint` pre-sizes the score
+    /// buffers for an expected resident cache length.
     pub fn for_config(config: &crate::config::ModelConfig, seq_hint: usize) -> Self {
         let d = config.d_model;
         Self {
@@ -151,7 +160,11 @@ impl ForwardScratch {
             gate: Vec::with_capacity(config.ffn_hidden),
             up: Vec::with_capacity(config.ffn_hidden),
             down: Vec::with_capacity(d),
+            rope: Vec::with_capacity(config.head_dim() / 2),
+            head_in: Vec::with_capacity(d),
+            row_scores: Vec::with_capacity(config.n_heads * seq_hint),
             logits: Vec::with_capacity(config.vocab_size),
+            vocab: config.vocab_size,
             scores: ScoreBuffer {
                 data: Vec::with_capacity(config.n_layers * config.n_heads * seq_hint),
                 ends: Vec::with_capacity(config.n_layers),
@@ -160,12 +173,22 @@ impl ForwardScratch {
         }
     }
 
-    /// Next-token logits of the most recent forward pass.
+    /// Logits of every row of the most recent pass that requested them,
+    /// concatenated in row order — for
+    /// [`crate::TransformerModel::forward_with_scratch`], exactly the
+    /// next-token logits.
     pub fn logits(&self) -> &[f32] {
         &self.logits
     }
 
-    /// Attention-score observations of the most recent forward pass.
+    /// Logits of the `i`-th row (in row order) of the most recent pass
+    /// that requested logits; `None` if fewer rows requested them.
+    pub fn row_logits(&self, i: usize) -> Option<&[f32]> {
+        self.logits.get(i * self.vocab..(i + 1) * self.vocab)
+    }
+
+    /// Attention-score observations of the most recent
+    /// [`crate::TransformerModel::forward_with_scratch`] call.
     pub fn scores(&self) -> &ScoreBuffer {
         &self.scores
     }
@@ -178,16 +201,10 @@ mod tests {
     #[test]
     fn score_buffer_tracks_layer_segments() {
         let mut b = ScoreBuffer::new();
-        b.begin_step(2);
-        for s in [0.25, 0.75, 0.5, 0.5] {
-            b.push(s);
-        }
-        b.seal_layer();
-        for s in [1.0, 0.0] {
-            b.push(s);
-        }
-        b.seal_layer();
+        b.push_layer(ScoreView::new(&[0.25, 0.75, 0.5, 0.5], 2));
+        b.push_layer(ScoreView::new(&[1.0, 0.0], 2));
         assert_eq!(b.n_layers(), 2);
+        assert_eq!(b.n_heads(), 2);
         let l0 = b.layer(0);
         assert_eq!(l0.len(), 2);
         assert_eq!(l0.head(0), &[0.25, 0.75]);
@@ -197,8 +214,16 @@ mod tests {
         assert_eq!(l1.head(0), &[1.0]);
         assert_eq!(l1.head(1), &[0.0]);
         // A new step resets the segments.
-        b.begin_step(2);
+        b.clear();
         assert_eq!(b.n_layers(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "head count mismatch")]
+    fn score_buffer_rejects_mixed_head_counts() {
+        let mut b = ScoreBuffer::new();
+        b.push_layer(ScoreView::new(&[0.5, 0.5], 2));
+        b.push_layer(ScoreView::new(&[1.0], 1));
     }
 
     #[test]

@@ -1,14 +1,40 @@
 //! The decoder-only transformer: prefill + autoregressive decode with
 //! per-layer KV caches and eviction hooks.
 
-use crate::attention::attend_into;
+use std::borrow::BorrowMut;
+
+use crate::attention::attend_row;
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
+use crate::rope::extend_rope_table;
 use crate::scratch::{ForwardScratch, ScoreBuffer};
 use crate::weights::ModelWeights;
-use veda_tensor::norm::rmsnorm_into;
-use veda_tensor::ops::{gemv_inner_into, gemv_outer_into};
+use veda_eviction::ScoreView;
+use veda_tensor::norm::rmsnorm_rows_into;
+use veda_tensor::ops::gemm_outer_into;
 use veda_tensor::softmax::log_softmax;
+
+/// Most rows one layer-major pass of [`TransformerModel::forward_batch`]
+/// carries: longer row lists run as consecutive passes, which bounds the
+/// activation buffers (a 4k-token prompt does not materialize 4k rows of
+/// FFN activations) while still streaming each weight matrix once per
+/// 64 rows.
+pub const MAX_PASS_ROWS: usize = 64;
+
+/// One row of a [`TransformerModel::forward_batch`] call: token `token`
+/// at absolute position `position` of the sequence `states[seq]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchRow {
+    /// Index of the row's sequence in the call's state slice.
+    pub seq: usize,
+    /// Input token.
+    pub token: usize,
+    /// Absolute position of the token in its sequence.
+    pub position: usize,
+    /// Whether to compute this row's next-token logits (the tied LM
+    /// head runs only for such rows).
+    pub wants_logits: bool,
+}
 
 /// Result of one full forward step (all layers).
 #[derive(Debug, Clone)]
@@ -180,6 +206,14 @@ pub struct TransformerModel {
     eps: f32,
 }
 
+/// `out = x · m` for every row of `x`, through the row-batched GEMM
+/// seeded at `0.0` (the `gemv_outer` accumulation order).
+fn project(x: &[f32], m: &veda_tensor::Matrix, out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(x.len() / m.rows() * m.cols(), 0.0);
+    gemm_outer_into(x, m, 0.0, out);
+}
+
 impl TransformerModel {
     /// Builds a model with synthetic structured weights for `config`.
     ///
@@ -281,8 +315,8 @@ impl TransformerModel {
     /// [`ForwardScratch::logits`] holds the next-token logits and
     /// [`ForwardScratch::scores`] the step's attention observations.
     ///
-    /// Bit-identical to [`TransformerModel::forward_in`]: every in-place
-    /// kernel preserves the f32 summation order of its allocating twin.
+    /// A one-row [`TransformerModel::forward_batch`] with logits on,
+    /// collecting every layer's scores.
     ///
     /// # Panics
     ///
@@ -295,43 +329,142 @@ impl TransformerModel {
         position: usize,
         scratch: &mut ForwardScratch,
     ) {
-        assert!(token < self.config.vocab_size, "token {token} outside vocabulary");
-        if state.caches.is_empty() {
-            // Allow `SequenceState::default()` to be used directly.
-            *state = self.new_state();
-        }
-        assert_eq!(state.n_layers(), self.config.n_layers, "sequence state layer count mismatch");
-        scratch.hidden.clear();
-        scratch.hidden.extend_from_slice(self.weights.embed(token));
-        scratch.scores.begin_step(self.config.n_heads);
+        let row = BatchRow { seq: 0, token, position, wants_logits: true };
+        let mut scores = std::mem::take(&mut scratch.scores);
+        scores.clear();
+        self.forward_batch(std::slice::from_mut(state), &[row], scratch, |_, _, layer| {
+            scores.push_layer(layer)
+        });
+        scratch.scores = scores;
+    }
 
-        for (li, cache) in state.caches.iter_mut().enumerate() {
-            let w = &self.weights.layers[li];
-            // Attention block with pre-norm residual.
-            rmsnorm_into(&scratch.hidden, &w.attn_norm, self.eps, &mut scratch.normed);
-            attend_into(position, cache, w, &self.config, scratch);
-            for (xi, oi) in scratch.hidden.iter_mut().zip(&scratch.attn_out) {
+    /// Runs a batch of rows through all layers, **layer-major**: every
+    /// layer's weight matrices are streamed once for all rows (row-batched
+    /// outer-product GEMMs), then each row attends in row order. Rows
+    /// index into `states`; a sequence's rows must be consecutive
+    /// positions in ascending order (a prefill chunk), though they may
+    /// interleave with other sequences' rows. Each row is appended to its
+    /// caches before it attends, so a chunk's causal attention — and
+    /// every row's bits — equal sequential one-row
+    /// [`TransformerModel::forward_with_scratch`] calls in row order.
+    ///
+    /// `observe(row, layer, scores)` receives each row's post-softmax
+    /// scores for each layer as soon as the row has attended in that
+    /// layer: layer-major, rows in order within a layer. Per layer, a
+    /// sequence's observations therefore arrive in position order, which
+    /// is all a per-layer eviction policy can see. The tied LM head runs
+    /// only for rows with [`BatchRow::wants_logits`]; their logits are
+    /// then readable through [`ForwardScratch::row_logits`], in row order.
+    /// Row lists longer than [`MAX_PASS_ROWS`] run as consecutive passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is outside the vocabulary, a row's `seq` is out
+    /// of bounds, or a state's layer count disagrees with the model.
+    pub fn forward_batch<S, F>(
+        &self,
+        states: &mut [S],
+        rows: &[BatchRow],
+        scratch: &mut ForwardScratch,
+        mut observe: F,
+    ) where
+        S: BorrowMut<SequenceState>,
+        F: FnMut(&BatchRow, usize, ScoreView<'_>),
+    {
+        for row in rows {
+            assert!(row.token < self.config.vocab_size, "token {} outside vocabulary", row.token);
+            assert!(
+                row.seq < states.len(),
+                "row sequence {} out of bounds ({} states)",
+                row.seq,
+                states.len()
+            );
+        }
+        for state in states.iter_mut() {
+            let state = state.borrow_mut();
+            if state.caches.is_empty() {
+                // Allow `SequenceState::default()` to be used directly.
+                *state = self.new_state();
+            }
+            assert_eq!(state.n_layers(), self.config.n_layers, "sequence state layer count mismatch");
+        }
+        scratch.vocab = self.config.vocab_size;
+        scratch.logits.clear();
+        for pass in rows.chunks(MAX_PASS_ROWS) {
+            self.forward_pass(states, pass, scratch, &mut observe);
+        }
+    }
+
+    /// One layer-major pass of [`TransformerModel::forward_batch`] over at
+    /// most [`MAX_PASS_ROWS`] validated rows; appends the requested logits.
+    fn forward_pass<S, F>(&self, states: &mut [S], rows: &[BatchRow], s: &mut ForwardScratch, observe: &mut F)
+    where
+        S: BorrowMut<SequenceState>,
+        F: FnMut(&BatchRow, usize, ScoreView<'_>),
+    {
+        let cfg = &self.config;
+        let (d, dh) = (cfg.d_model, cfg.head_dim());
+        s.hidden.clear();
+        s.hidden.resize(rows.len() * d, 0.0);
+        s.rope.clear();
+        for (row, hidden) in rows.iter().zip(s.hidden.chunks_exact_mut(d)) {
+            self.weights.embed_into(row.token, hidden);
+            extend_rope_table(row.position, dh, cfg.rope_theta, &mut s.rope);
+        }
+
+        for (li, w) in self.weights.layers.iter().enumerate() {
+            // Attention block with pre-norm residual: QKV for all rows,
+            // then each row attends in order, then W_O for all rows.
+            rmsnorm_rows_into(&s.hidden, d, &w.attn_norm, self.eps, &mut s.normed);
+            project(&s.normed, &w.wq, &mut s.q);
+            project(&s.normed, &w.wk, &mut s.k);
+            project(&s.normed, &w.wv, &mut s.v);
+            s.concat.clear();
+            s.concat.resize(rows.len() * d, 0.0);
+            let per_row =
+                s.q.chunks_exact_mut(d)
+                    .zip(s.k.chunks_exact_mut(d))
+                    .zip(s.v.chunks_exact(d))
+                    .zip(s.concat.chunks_exact_mut(d).zip(s.rope.chunks_exact(dh / 2)));
+            for (row, (((q, k), v), (concat, rope))) in rows.iter().zip(per_row) {
+                let cache = &mut states[row.seq].borrow_mut().caches[li];
+                attend_row(cache, row.position, rope, dh, (q, k, v), &mut s.row_scores, concat);
+                observe(row, li, ScoreView::new(&s.row_scores, cfg.n_heads));
+            }
+            project(&s.concat, &w.wo, &mut s.attn_out);
+            for (xi, oi) in s.hidden.iter_mut().zip(&s.attn_out) {
                 *xi += oi;
             }
 
             // FFN block with pre-norm residual (Step 4 of Fig. 1).
-            rmsnorm_into(&scratch.hidden, &w.ffn_norm, self.eps, &mut scratch.normed);
-            gemv_outer_into(&scratch.normed, &w.w1, &mut scratch.gate);
-            self.config.activation.apply_slice(&mut scratch.gate);
-            gemv_outer_into(&scratch.normed, &w.w3, &mut scratch.up);
+            rmsnorm_rows_into(&s.hidden, d, &w.ffn_norm, self.eps, &mut s.normed);
+            project(&s.normed, &w.w1, &mut s.gate);
+            cfg.activation.apply_slice(&mut s.gate);
+            project(&s.normed, &w.w3, &mut s.up);
             // Hadamard gate ∘ up, in place in the gate buffer.
-            for (g, &u) in scratch.gate.iter_mut().zip(&scratch.up) {
+            for (g, &u) in s.gate.iter_mut().zip(&s.up) {
                 *g *= u;
             }
-            gemv_outer_into(&scratch.gate, &w.w2, &mut scratch.down);
-            for (xi, di) in scratch.hidden.iter_mut().zip(&scratch.down) {
+            project(&s.gate, &w.w2, &mut s.down);
+            for (xi, di) in s.hidden.iter_mut().zip(&s.down) {
                 *xi += di;
             }
         }
 
-        rmsnorm_into(&scratch.hidden, &self.weights.final_norm, self.eps, &mut scratch.normed);
-        // Tied LM head: logits = E · x.
-        gemv_inner_into(&scratch.normed, &self.weights.embedding, &mut scratch.logits);
+        // Tied LM head, only for the rows whose logits are read: the
+        // outer product over the (D, V) embedding, seeded at -0.0 so
+        // every logit is bit-identical to `dot(x, embedding row)`.
+        s.head_in.clear();
+        for (row, hidden) in rows.iter().zip(s.hidden.chunks_exact(d)) {
+            if row.wants_logits {
+                s.head_in.extend_from_slice(hidden);
+            }
+        }
+        rmsnorm_rows_into(&s.head_in, d, &self.weights.final_norm, self.eps, &mut s.normed);
+        let start = s.logits.len();
+        s.logits.resize(start + s.head_in.len() / d * cfg.vocab_size, 0.0);
+        let (_, logits) = s.logits.split_at_mut(start);
+        gemm_outer_into(&s.normed, &self.weights.embedding, -0.0, logits);
     }
 
     /// Prefills a prompt (GEMM realized as successive GEMVs, as VEDA does),

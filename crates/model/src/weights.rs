@@ -48,7 +48,10 @@ pub struct LayerWeights {
 /// Full model weights (LM head tied to the embedding).
 #[derive(Debug, Clone)]
 pub struct ModelWeights {
-    /// Token embedding `(V, D)`; also the output head.
+    /// The tied embedding, stored once, transposed: `(D, V)`. Column `t`
+    /// is token `t`'s embedding (gathered by [`ModelWeights::embed_into`]),
+    /// and the matrix as a whole is the operand of the LM head's
+    /// outer-product GEMM, `logits = x · embedding`.
     pub embedding: Matrix,
     /// Final RMSNorm gain.
     pub final_norm: Vec<f32>,
@@ -110,15 +113,28 @@ impl ModelWeights {
             }
             u
         };
+        // Token `t`'s embedding is drawn as one row of `d` samples, in
+        // token order. Blocks of `EMBED_BLOCK` such rows are transposed
+        // into their columns of the `(D, V)` table, so no `(V, D)` copy
+        // is ever materialized and the writes stay cache-friendly.
+        const EMBED_BLOCK: usize = 64;
         let emb_std = 1.0 / (d as f32).sqrt();
-        let mut embedding = noise_matrix(&mut rng, v, d, emb_std);
-        for t in 0..v {
-            // Gains are in units of the unit-norm sink direction, i.e.
-            // comparable to the ~unit embedding row norm.
-            let gain = if t == 0 { sp.sink_bos } else { sp.sink_base };
-            let row = embedding.row_mut(t);
-            for (x, &u) in row.iter_mut().zip(&sink_dir) {
-                *x += gain * u;
+        let mut embedding = Matrix::zeros(d, v);
+        for first in (0..v).step_by(EMBED_BLOCK) {
+            let tokens = EMBED_BLOCK.min(v - first);
+            let mut block = normal_vec(&mut rng, tokens * d, emb_std);
+            for (t, row) in (first..).zip(block.chunks_exact_mut(d)) {
+                // Gains are in units of the unit-norm sink direction, i.e.
+                // comparable to the ~unit embedding row norm.
+                let gain = if t == 0 { sp.sink_bos } else { sp.sink_base };
+                for (x, &u) in row.iter_mut().zip(&sink_dir) {
+                    *x += gain * u;
+                }
+            }
+            for (channel, table_row) in embedding.as_mut_slice().chunks_exact_mut(v).enumerate() {
+                for (x, &e) in table_row.iter_mut().skip(first).zip(block.iter().skip(channel).step_by(d)) {
+                    *x = e;
+                }
             }
         }
 
@@ -142,13 +158,25 @@ impl ModelWeights {
         Self { embedding, final_norm: vec![1.0; d], layers }
     }
 
-    /// Embedding row of a token.
+    /// Writes token `token`'s embedding (column `token` of the `(D, V)`
+    /// table) into `out` (`out.len() == D`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary or `out` is not `D`
+    /// long.
+    pub fn embed_into(&self, token: usize, out: &mut [f32]) {
+        self.embedding.col_into(token, out);
+    }
+
+    /// Embedding of a token, as a fresh vector (allocating convenience
+    /// over [`ModelWeights::embed_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `token` is outside the vocabulary.
-    pub fn embed(&self, token: usize) -> &[f32] {
-        self.embedding.row(token)
+    pub fn embed(&self, token: usize) -> Vec<f32> {
+        self.embedding.col(token)
     }
 }
 
@@ -170,7 +198,7 @@ mod tests {
     fn shapes_match_config() {
         let cfg = ModelConfig::tiny();
         let w = ModelWeights::synthetic(&cfg);
-        assert_eq!(w.embedding.shape(), [cfg.vocab_size, cfg.d_model]);
+        assert_eq!(w.embedding.shape(), [cfg.d_model, cfg.vocab_size]);
         assert_eq!(w.layers.len(), cfg.n_layers);
         assert_eq!(w.layers[0].w1.shape(), [cfg.d_model, cfg.ffn_hidden]);
         assert_eq!(w.layers[0].w2.shape(), [cfg.ffn_hidden, cfg.d_model]);
@@ -185,8 +213,8 @@ mod tests {
         let mut to_bos = 0.0;
         let mut to_other = 0.0;
         for t in 1..32 {
-            to_bos += dot(w.embed(t), w.embed(0));
-            to_other += dot(w.embed(t), w.embed(t + 16));
+            to_bos += dot(&w.embed(t), &w.embed(0));
+            to_other += dot(&w.embed(t), &w.embed(t + 16));
         }
         assert!(to_bos > to_other, "sink dot {to_bos} vs other {to_other}");
     }
@@ -202,9 +230,9 @@ mod tests {
         let mut cross = 0.0;
         for t in 1..20 {
             let x = w.embed(t);
-            let q = veda_tensor::ops::gemv_outer(x, &l.wq);
-            let kx = veda_tensor::ops::gemv_outer(x, &l.wk);
-            let ky = veda_tensor::ops::gemv_outer(w.embed(t + 20), &l.wk);
+            let q = veda_tensor::ops::gemv_outer(&x, &l.wq);
+            let kx = veda_tensor::ops::gemv_outer(&x, &l.wk);
+            let ky = veda_tensor::ops::gemv_outer(&w.embed(t + 20), &l.wk);
             same += dot(&q, &kx);
             cross += dot(&q, &ky);
         }

@@ -57,7 +57,9 @@
 use veda::Engine;
 use veda_eviction::BudgetController;
 use veda_mem::{HostLinkConfig, SwapDirection, TransferKind};
-use veda_telemetry::{MetricsRegistry, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind};
+use veda_telemetry::{
+    saturating_u32, MetricsRegistry, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind,
+};
 
 use crate::admission::AdmissionConfig;
 use crate::error::ServeError;
@@ -435,7 +437,7 @@ impl Cluster {
                 self.shards[s].emit(
                     self.now,
                     s as u64,
-                    TraceEventKind::ShardDown { lost: lost.len() as u32 },
+                    TraceEventKind::ShardDown { lost: saturating_u32(lost.len()) },
                 );
                 for work in lost {
                     self.retry_or_dead_letter(work);
@@ -696,9 +698,9 @@ impl Cluster {
             sink.record(TraceEvent {
                 tick: self.now,
                 cycles: source.elapsed_cycles,
-                shard: src as u32,
+                shard: saturating_u32(src),
                 request: entry.arrival as u64,
-                kind: TraceEventKind::MigrationStart { to_shard: tgt as u32, bytes: payload },
+                kind: TraceEventKind::MigrationStart { to_shard: saturating_u32(tgt), bytes: payload },
             });
         }
         source.admission.release(entry.est_bytes);

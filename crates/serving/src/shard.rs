@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 use veda::{Engine, PrefixPin, PrefixTransferKind, Request, Session, TokenEvent};
 use veda_eviction::BudgetController;
 use veda_mem::{HostLink, HostLinkConfig, SwapDirection, TransferKind};
-use veda_telemetry::{SinkHandle, TraceEvent, TraceEventKind, Tracer};
+use veda_telemetry::{saturating_u32, SinkHandle, TraceEvent, TraceEventKind, Tracer};
 
 use crate::admission::{AdmissionConfig, AdmissionController, RejectReason};
 use crate::faults::LostWork;
@@ -273,7 +273,7 @@ impl Shard {
     /// tokens, finishes) then flow into one stream, stamped with this
     /// shard's id, the virtual tick, and the cycle clock.
     pub fn install_trace(&mut self, sink: SinkHandle) {
-        self.engine.install_tracer(Tracer::new(sink.clone(), self.id as u32));
+        self.engine.install_tracer(Tracer::new(sink.clone(), saturating_u32(self.id)));
         self.trace = Some(sink);
     }
 
@@ -285,7 +285,7 @@ impl Shard {
             sink.record(TraceEvent {
                 tick: now,
                 cycles: self.elapsed_cycles,
-                shard: self.id as u32,
+                shard: saturating_u32(self.id),
                 request,
                 kind,
             });
@@ -411,9 +411,9 @@ impl Shard {
             now,
             global_arrival as u64,
             TraceEventKind::Submitted {
-                prompt_tokens: request.prompt.len() as u32,
-                max_new_tokens: request.max_new_tokens as u32,
-                priority: priority as u32,
+                prompt_tokens: saturating_u32(request.prompt.len()),
+                max_new_tokens: saturating_u32(request.max_new_tokens),
+                priority: u32::from(priority),
             },
         );
         let discount_sound = request.never_evicts() && self.shrink.is_none();
@@ -682,9 +682,9 @@ impl Shard {
             now,
             global_arrival as u64,
             TraceEventKind::Submitted {
-                prompt_tokens: request.prompt.len() as u32,
-                max_new_tokens: request.max_new_tokens as u32,
-                priority: priority as u32,
+                prompt_tokens: saturating_u32(request.prompt.len()),
+                max_new_tokens: saturating_u32(request.max_new_tokens),
+                priority: u32::from(priority),
             },
         );
         self.records.push(RequestRecord {
@@ -812,7 +812,7 @@ impl Shard {
                     let rejoin = match kind {
                         WaitKind::Swap => TraceEventKind::SwapInComplete { wait_ticks },
                         WaitKind::Migration { from: src } => {
-                            TraceEventKind::MigrationLand { from_shard: src as u32, wait_ticks }
+                            TraceEventKind::MigrationLand { from_shard: saturating_u32(src), wait_ticks }
                         }
                     };
                     self.emit(now, entry.arrival as u64, rejoin);

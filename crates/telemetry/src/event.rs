@@ -291,6 +291,15 @@ impl fmt::Debug for SinkHandle {
     }
 }
 
+/// Narrows a count or id to the `u32` width of trace payloads,
+/// saturating at `u32::MAX` instead of wrapping: an out-of-range value
+/// shows up as the ceiling, never as a small wrong number. In-range
+/// values are unchanged, so traces of realistic runs are byte-identical
+/// to a plain cast.
+pub fn saturating_u32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
 /// The per-engine emitter: a sink handle plus the shard id and current
 /// virtual tick to stamp events with. The owning layer refreshes the
 /// tick each simulation step via [`Tracer::set_now`].
@@ -331,6 +340,18 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn saturating_u32_keeps_in_range_values_and_clamps_the_rest() {
+        assert_eq!(saturating_u32(0), 0);
+        assert_eq!(saturating_u32(4096), 4096);
+        assert_eq!(saturating_u32(u32::MAX as usize), u32::MAX);
+        // A plain `as u32` would wrap this to 0.
+        if let Some(above) = (u32::MAX as usize).checked_add(1) {
+            assert_eq!(saturating_u32(above), u32::MAX);
+            assert_eq!(saturating_u32(usize::MAX), u32::MAX);
+        }
+    }
 
     #[test]
     fn recording_sink_preserves_order() {

@@ -39,6 +39,6 @@ mod metrics;
 mod waterfall;
 
 pub use chrome::chrome_trace_json;
-pub use event::{RecordingSink, SinkHandle, TraceEvent, TraceEventKind, TraceSink, Tracer};
+pub use event::{saturating_u32, RecordingSink, SinkHandle, TraceEvent, TraceEventKind, TraceSink, Tracer};
 pub use metrics::{nearest_rank, summarize, Log2Histogram, MetricsRegistry, SampleSummary};
 pub use waterfall::StageWaterfall;

@@ -114,6 +114,21 @@ impl Matrix {
         (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
     }
 
+    /// Copies column `j` into `out` (`out.len() == rows`) — the
+    /// allocation-free gather of a token's embedding from a transposed
+    /// `(D, V)` table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= cols` or `out.len() != rows`.
+    pub fn col_into(&self, j: usize, out: &mut [f32]) {
+        assert!(j < self.cols, "col index {j} out of bounds ({} cols)", self.cols);
+        assert_eq!(out.len(), self.rows, "col_into: output length {} vs {} rows", out.len(), self.rows);
+        for (o, &v) in out.iter_mut().zip(self.data.iter().skip(j).step_by(self.cols)) {
+            *o = v;
+        }
+    }
+
     /// Appends a row to the bottom of the matrix (used by the growing KV
     /// cache during generation).
     ///
@@ -197,10 +212,8 @@ impl Matrix {
     /// Returns the transposed matrix (fresh allocation).
     pub fn transposed(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
+        for (j, t_row) in t.data.chunks_exact_mut(self.rows.max(1)).enumerate() {
+            self.col_into(j, t_row);
         }
         t
     }
@@ -219,14 +232,11 @@ impl Matrix {
             ));
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+        for (a_row, orow) in self.iter_rows().zip(out.data.chunks_exact_mut(rhs.cols.max(1))) {
+            for (&a, rrow) in a_row.iter().zip(rhs.iter_rows()) {
                 if a == 0.0 {
                     continue;
                 }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
                 for (o, &b) in orow.iter_mut().zip(rrow) {
                     *o += a * b;
                 }
@@ -418,6 +428,9 @@ mod tests {
     fn col_extracts_strided_elements() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         assert_eq!(m.col(1), vec![2.0, 4.0, 6.0]);
+        let mut out = [0.0; 3];
+        m.col_into(1, &mut out);
+        assert_eq!(out, [2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -70,17 +70,36 @@ pub fn rmsnorm(x: &[f32], gamma: &[f32], eps: f32) -> Vec<f32> {
 ///
 /// Panics if non-empty `gamma` length differs from `x`.
 pub fn rmsnorm_into(x: &[f32], gamma: &[f32], eps: f32, out: &mut Vec<f32>) {
+    rmsnorm_rows_into(x, x.len(), gamma, eps, out);
+}
+
+/// Row-batched [`rmsnorm_into`]: normalizes every `width`-long row of the
+/// row-major batch `x` into the same row of `out` (cleared and refilled,
+/// capacity retained). Each row is bit-identical to [`rmsnorm`] of it.
+///
+/// # Panics
+///
+/// Panics if `x` is not a whole number of rows, or non-empty `gamma`
+/// length differs from `width`.
+pub fn rmsnorm_rows_into(x: &[f32], width: usize, gamma: &[f32], eps: f32, out: &mut Vec<f32>) {
     out.clear();
     if x.is_empty() {
         return;
     }
-    assert!(gamma.is_empty() || gamma.len() == x.len(), "rmsnorm: gamma length mismatch");
-    let ms = x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32;
-    let inv = 1.0 / (ms + eps).sqrt();
-    out.extend(x.iter().enumerate().map(|(i, &v)| {
-        let g = if gamma.is_empty() { 1.0 } else { gamma[i] };
-        v * inv * g
-    }));
+    assert!(
+        width > 0 && x.len().is_multiple_of(width),
+        "rmsnorm: {} floats are not rows of {width}",
+        x.len()
+    );
+    assert!(gamma.is_empty() || gamma.len() == width, "rmsnorm: gamma length mismatch");
+    for row in x.chunks_exact(width) {
+        let ms = row.iter().map(|&v| v * v).sum::<f32>() / width as f32;
+        let inv = 1.0 / (ms + eps).sqrt();
+        out.extend(row.iter().enumerate().map(|(i, &v)| {
+            let g = if gamma.is_empty() { 1.0 } else { gamma[i] };
+            v * inv * g
+        }));
+    }
 }
 
 /// One-pass streaming mean/variance via `Σx` and `Σx²`, mirroring the
@@ -198,6 +217,17 @@ mod tests {
         assert_eq!(out, rmsnorm(&x, &[], DEFAULT_EPS));
         rmsnorm_into(&[], &[], DEFAULT_EPS, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn rmsnorm_rows_normalize_each_row_bit_identically() {
+        let x = [0.5f32, -1.25, 3.0, 0.125, 2.0, -0.75];
+        let gamma = [1.0f32, 0.5, 2.0];
+        let mut out = vec![9.0; 2];
+        rmsnorm_rows_into(&x, 3, &gamma, 1e-5, &mut out);
+        let mut want = rmsnorm(&x[..3], &gamma, 1e-5);
+        want.extend(rmsnorm(&x[3..], &gamma, 1e-5));
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -146,8 +146,71 @@ pub fn gemv_outer_into(s: &[f32], m: &Matrix, out: &mut Vec<f32>) {
     assert_eq!(s.len(), m.rows(), "gemv_outer: s length {} vs matrix rows {}", s.len(), m.rows());
     out.clear();
     out.resize(m.cols(), 0.0);
-    for (i, &si) in s.iter().enumerate() {
-        axpy(si, m.row(i), out);
+    gemm_outer_into(s, m, 0.0, out);
+}
+
+/// Output floats one column tile of [`gemm_outer_into`] keeps live: 16 KiB,
+/// half a typical L1 data cache, so a tile's accumulators stay resident
+/// while the weight rows stream past them.
+const TILE_FLOATS: usize = 4096;
+
+/// Row-batched outer-product GEMM: for every row `x_r` of the row-major
+/// batch `x` (`rows × m.rows()`), writes `init + Σ_i x_r[i] · m.row(i)`
+/// into row `r` of `out` (`rows × m.cols()`).
+///
+/// Each weight row is read once per column tile and accumulated into
+/// every batch row, so a batch streams the matrix once instead of once
+/// per row. Every output element still sums its terms in ascending `i`
+/// starting from `init`, which fixes its bits:
+///
+/// * with `init = 0.0` each row equals [`gemv_outer_into`] (the `axpy`
+///   accumulation order);
+/// * with `init = -0.0` over a transposed matrix each element equals
+///   [`dot`] of `x_r` with the original row — f32 `Sum` starts from
+///   `-0.0`, the additive identity that keeps a `-0.0` product intact.
+///
+/// Columns are processed in tiles of at most `TILE_FLOATS / rows`
+/// (rounded to a multiple of 16, at least 64), so all accumulators of
+/// a tile stay in L1 however wide the matrix is; tiling never reorders
+/// the sum of any element.
+///
+/// # Panics
+///
+/// Panics if `x` and `out` do not hold the same whole number of rows of
+/// `m.rows()` and `m.cols()` floats respectively.
+///
+/// ```
+/// use veda_tensor::{Matrix, ops::gemm_outer_into};
+/// let m = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
+/// let mut out = [0.0; 4];
+/// gemm_outer_into(&[1.0, 1.0, 3.0, 0.5], &m, 0.0, &mut out);
+/// assert_eq!(out, [1.0, 2.0, 3.0, 1.0]);
+/// ```
+pub fn gemm_outer_into(x: &[f32], m: &Matrix, init: f32, out: &mut [f32]) {
+    let (k, n) = (m.rows(), m.cols());
+    let rows = out.len().checked_div(n).unwrap_or(0);
+    assert!(
+        out.len() == rows * n && x.len() == rows * k,
+        "gemm_outer: {} inputs and {} outputs are not whole rows of a {k}x{n} matrix",
+        x.len(),
+        out.len()
+    );
+    out.fill(init);
+    if rows == 0 || k == 0 {
+        return;
+    }
+    let tile = (TILE_FLOATS / rows / 16 * 16).max(64);
+    for start in (0..n).step_by(tile) {
+        let end = (start + tile).min(n);
+        for (i, w_row) in m.iter_rows().enumerate() {
+            let w = &w_row[start..end];
+            for (x_row, out_row) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                let a = x_row[i];
+                for (o, &wv) in out_row[start..end].iter_mut().zip(w) {
+                    *o += a * wv;
+                }
+            }
+        }
     }
 }
 
@@ -247,6 +310,40 @@ mod tests {
         let cap = out.capacity();
         gemv_outer_into(&q, &m, &mut out);
         assert_eq!(out.capacity(), cap);
+    }
+
+    #[test]
+    fn gemm_outer_matches_per_row_kernels_bit_for_bit() {
+        // Wide enough to span several column tiles at 24 rows.
+        let (k, n, rows) = (7, 300, 24);
+        let m = Matrix::from_vec(k, n, (0..k * n).map(|i| ((i * 37) % 101) as f32 / 13.0 - 3.5).collect())
+            .expect("sized");
+        let x: Vec<f32> = (0..rows * k).map(|i| ((i * 53) % 29) as f32 / 7.0 - 2.0).collect();
+        let mut out = vec![0.0; rows * n];
+        gemm_outer_into(&x, &m, 0.0, &mut out);
+        for (x_row, out_row) in x.chunks_exact(k).zip(out.chunks_exact(n)) {
+            assert_eq!(out_row, gemv_outer(x_row, &m).as_slice());
+        }
+        // Seeded with -0.0 over the transpose, every element is a `dot`.
+        let mt = m.transposed();
+        let mut head = vec![0.0; rows * k];
+        let y: Vec<f32> = (0..rows * n).map(|i| ((i * 11) % 17) as f32 / 5.0 - 1.5).collect();
+        gemm_outer_into(&y, &mt, -0.0, &mut head);
+        for (y_row, out_row) in y.chunks_exact(n).zip(head.chunks_exact(k)) {
+            let want: Vec<u32> = m.iter_rows().map(|r| dot(y_row, r).to_bits()).collect();
+            assert_eq!(out_row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn gemm_outer_keeps_negative_zero_only_with_a_negative_zero_seed() {
+        let m = Matrix::from_rows(&[&[-0.0], &[0.0]]);
+        let mut out = [1.0];
+        gemm_outer_into(&[1.0, -1.0], &m, -0.0, &mut out);
+        assert_eq!(out[0].to_bits(), dot(&[1.0, -1.0], &[-0.0, 0.0]).to_bits());
+        assert!(out[0].is_sign_negative());
+        gemm_outer_into(&[1.0, -1.0], &m, 0.0, &mut out);
+        assert!(out[0].is_sign_positive());
     }
 
     #[test]
