@@ -671,7 +671,8 @@ impl EngineBuilder {
             scheduler,
             energy,
             decode_threads: self.decode_threads.max(1),
-            scratches: (0..self.decode_threads.max(1)).map(|_| ForwardScratch::new()).collect(),
+            scratch: ForwardScratch::new(),
+            worker_scratches: (1..self.decode_threads.max(1)).map(|_| ForwardScratch::new()).collect(),
             prefill_chunk: self.prefill_chunk.max(1),
             tick_token_budget: self.tick_token_budget.max(1),
             prefix_cache: self.prefix_cache.map(PrefixCache::new),
@@ -743,7 +744,27 @@ struct ActiveSession {
     trace_id: u64,
 }
 
+/// The forward pass writes a session's KV caches in place.
+impl AsMut<SequenceState> for ActiveSession {
+    fn as_mut(&mut self) -> &mut SequenceState {
+        &mut self.state
+    }
+}
+
 impl ActiveSession {
+    /// Feeds layer `layer`'s post-softmax scores of the row at `position`
+    /// to that layer's policy. A prefix-cache insertion candidate also
+    /// records them for later replay; such a prompt missed the cache, so
+    /// its rows start at position 0 and index its recording directly.
+    fn observe(&mut self, position: usize, layer: usize, scores: ScoreView<'_>) {
+        let policy = &mut self.policies[layer];
+        policy.on_append();
+        policy.observe(scores);
+        if let Some(step) = self.prefix_obs.as_mut().and_then(|obs| obs.get_mut(position)) {
+            step.push_layer(scores);
+        }
+    }
+
     /// Whether the prompt is fully consumed (the session decodes).
     fn is_decoding(&self) -> bool {
         self.prefilled == self.prompt.len()
@@ -853,27 +874,8 @@ impl StepContext<'_> {
             }
         }
 
-        // Split each session into the state the pass writes and the
-        // observers its score blocks feed.
-        let mut states = Vec::with_capacity(sessions.len());
-        let mut observers = Vec::with_capacity(sessions.len());
-        for session in sessions.iter_mut() {
-            let ActiveSession { state, policies, prefix_obs, .. } = session;
-            states.push(state);
-            observers.push((policies, prefix_obs.as_mut()));
-        }
-        self.model.forward_batch(&mut states, &rows, scratch, |row, layer, scores: ScoreView<'_>| {
-            let Some((policies, recording)) = observers.get_mut(row.seq) else { return };
-            if let Some(policy) = policies.get_mut(layer) {
-                policy.on_append();
-                policy.observe(scores);
-            }
-            // A prefix-cache insertion candidate records every prompt
-            // token's observations for later replay; such a prompt
-            // missed the cache, so its rows start at position 0.
-            if let Some(step) = recording.as_mut().and_then(|obs| obs.get_mut(row.position)) {
-                step.push_layer(scores);
-            }
+        self.model.forward_batch(sessions, &rows, scratch, |session, row, layer, scores| {
+            session.observe(row.position, layer, scores);
         });
 
         let mut logits_rows = 0;
@@ -1030,9 +1032,11 @@ pub struct Engine {
     energy: EnergyModel,
     /// Worker threads one [`Engine::step`] fans sessions across (≥ 1).
     decode_threads: usize,
-    /// One reusable forward-pass scratch per worker (`decode_threads`
-    /// of them; instant prefill at submit uses the first).
-    scratches: Vec<ForwardScratch>,
+    /// Reusable forward-pass buffers of instant prefill at submit and of
+    /// the first decode worker.
+    scratch: ForwardScratch,
+    /// One more scratch per additional decode worker.
+    worker_scratches: Vec<ForwardScratch>,
     /// Prompt tokens one tick may consume per prefilling session
     /// (`usize::MAX` = instant prefill at submit).
     prefill_chunk: usize,
@@ -1576,9 +1580,9 @@ impl Engine {
             // clock (the pre-chunking compatibility path).
             let tokens = session.prompt.len() - session.prefilled;
             let plans = [Plan::Prefill { tokens }];
-            let Engine { model, arch, energy, variant, scheduler, scratches, .. } = self;
+            let Engine { model, arch, energy, variant, scheduler, scratch, .. } = self;
             let ctx = StepContext { model, arch, energy, variant: *variant, shape: *scheduler.shape() };
-            ctx.run(std::slice::from_mut(&mut session), &plans, &mut scratches[0]);
+            ctx.run(std::slice::from_mut(&mut session), &plans, scratch);
             self.harvest_prefix(&mut session);
             if tokens > 0 {
                 self.trace(
@@ -1719,7 +1723,9 @@ impl Engine {
         // Split field borrows instead of moving `active` out: a panic in a
         // downstream policy or model step must not vanish every in-flight
         // session (same guarantee class as `TransformerModel::forward_token`).
-        let Engine { active, model, arch, energy, variant, decode_threads, scratches, .. } = self;
+        let Engine {
+            active, model, arch, energy, variant, decode_threads, scratch, worker_scratches, ..
+        } = self;
         let ctx = StepContext { model, arch, energy, variant: *variant, shape };
         let workers = (*decode_threads).min(active.len()).max(1);
         let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(active.len());
@@ -1727,7 +1733,8 @@ impl Engine {
         // scratch) each; outcomes are concatenated in chunk order, so the
         // tick's event order matches the serial path.
         let chunk = active.len().div_ceil(workers);
-        let groups = active.chunks_mut(chunk).zip(plans.chunks(chunk)).zip(scratches.iter_mut());
+        let scratches = std::iter::once(scratch).chain(worker_scratches.iter_mut());
+        let groups = active.chunks_mut(chunk).zip(plans.chunks(chunk)).zip(scratches);
         if workers == 1 {
             for ((sessions, plans), scratch) in groups {
                 outcomes.extend(ctx.run(sessions, plans, scratch));

@@ -10,7 +10,8 @@
 //!   small presets that run end-to-end on a CPU in seconds.
 //! * [`TransformerModel`] — embedding, RoPE, multi-head attention with a
 //!   pluggable KV cache, SwiGLU-free FFN, RMSNorm, tied LM head; prefill +
-//!   autoregressive decode. Weights are synthetic but *structured*
+//!   autoregressive decode, run row-batched and layer-major through
+//!   [`TransformerModel::forward_batch`]. Weights are synthetic but *structured*
 //!   (attention sink, content-based matching, recency) so attention-score
 //!   distributions exhibit the sparsity the eviction literature documents.
 //! * [`InductionLm`] — an interpretable attention-based retrieval language

@@ -1,8 +1,6 @@
 //! The decoder-only transformer: prefill + autoregressive decode with
 //! per-layer KV caches and eviction hooks.
 
-use std::borrow::BorrowMut;
-
 use crate::attention::attend_row;
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
@@ -57,6 +55,14 @@ pub struct StepOutput {
 #[derive(Debug, Clone, Default)]
 pub struct SequenceState {
     caches: Vec<LayerKvCache>,
+}
+
+/// Lets [`TransformerModel::forward_batch`] take plain states as well as
+/// caller types that own one.
+impl AsMut<SequenceState> for SequenceState {
+    fn as_mut(&mut self) -> &mut SequenceState {
+        self
+    }
 }
 
 impl SequenceState {
@@ -184,7 +190,8 @@ impl SequenceState {
 /// ([`TransformerModel::forward_token`], [`TransformerModel::prefill`], …)
 /// keeps working. Serving engines that decode many sequences against one
 /// set of weights allocate extra states via [`TransformerModel::new_state`]
-/// and drive them through [`TransformerModel::forward_in`].
+/// and drive them all at once through [`TransformerModel::forward_batch`]
+/// (or one token at a time through [`TransformerModel::forward_in`]).
 ///
 /// ```
 /// use veda_model::{ModelConfig, TransformerModel};
@@ -332,7 +339,7 @@ impl TransformerModel {
         let row = BatchRow { seq: 0, token, position, wants_logits: true };
         let mut scores = std::mem::take(&mut scratch.scores);
         scores.clear();
-        self.forward_batch(std::slice::from_mut(state), &[row], scratch, |_, _, layer| {
+        self.forward_batch(std::slice::from_mut(state), &[row], scratch, |_, _, _, layer| {
             scores.push_layer(layer)
         });
         scratch.scores = scores;
@@ -348,9 +355,10 @@ impl TransformerModel {
     /// every row's bits — equal sequential one-row
     /// [`TransformerModel::forward_with_scratch`] calls in row order.
     ///
-    /// `observe(row, layer, scores)` receives each row's post-softmax
-    /// scores for each layer as soon as the row has attended in that
-    /// layer: layer-major, rows in order within a layer. Per layer, a
+    /// `observe(state, row, layer, scores)` receives each row's
+    /// post-softmax scores for each layer, with the row's sequence, as
+    /// soon as the row has attended in that layer: layer-major, rows in
+    /// order within a layer. Per layer, a
     /// sequence's observations therefore arrive in position order, which
     /// is all a per-layer eviction policy can see. The tied LM head runs
     /// only for rows with [`BatchRow::wants_logits`]; their logits are
@@ -368,8 +376,8 @@ impl TransformerModel {
         scratch: &mut ForwardScratch,
         mut observe: F,
     ) where
-        S: BorrowMut<SequenceState>,
-        F: FnMut(&BatchRow, usize, ScoreView<'_>),
+        S: AsMut<SequenceState>,
+        F: FnMut(&mut S, &BatchRow, usize, ScoreView<'_>),
     {
         for row in rows {
             assert!(row.token < self.config.vocab_size, "token {} outside vocabulary", row.token);
@@ -381,7 +389,7 @@ impl TransformerModel {
             );
         }
         for state in states.iter_mut() {
-            let state = state.borrow_mut();
+            let state = state.as_mut();
             if state.caches.is_empty() {
                 // Allow `SequenceState::default()` to be used directly.
                 *state = self.new_state();
@@ -399,8 +407,8 @@ impl TransformerModel {
     /// most [`MAX_PASS_ROWS`] validated rows; appends the requested logits.
     fn forward_pass<S, F>(&self, states: &mut [S], rows: &[BatchRow], s: &mut ForwardScratch, observe: &mut F)
     where
-        S: BorrowMut<SequenceState>,
-        F: FnMut(&BatchRow, usize, ScoreView<'_>),
+        S: AsMut<SequenceState>,
+        F: FnMut(&mut S, &BatchRow, usize, ScoreView<'_>),
     {
         let cfg = &self.config;
         let (d, dh) = (cfg.d_model, cfg.head_dim());
@@ -427,9 +435,10 @@ impl TransformerModel {
                     .zip(s.v.chunks_exact(d))
                     .zip(s.concat.chunks_exact_mut(d).zip(s.rope.chunks_exact(dh / 2)));
             for (row, (((q, k), v), (concat, rope))) in rows.iter().zip(per_row) {
-                let cache = &mut states[row.seq].borrow_mut().caches[li];
+                let state = &mut states[row.seq];
+                let cache = &mut state.as_mut().caches[li];
                 attend_row(cache, row.position, rope, dh, (q, k, v), &mut s.row_scores, concat);
-                observe(row, li, ScoreView::new(&s.row_scores, cfg.n_heads));
+                observe(state, row, li, ScoreView::new(&s.row_scores, cfg.n_heads));
             }
             project(&s.concat, &w.wo, &mut s.attn_out);
             for (xi, oi) in s.hidden.iter_mut().zip(&s.attn_out) {

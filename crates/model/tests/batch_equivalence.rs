@@ -79,7 +79,7 @@ fn check_case(cfg: ModelConfig, seed: u64, max_sessions: usize, max_chunk: usize
     for _round in 0..2 {
         let rows = rows(&mut rng, &states, cfg.vocab_size, max_chunk);
         let mut observed: Vec<(usize, usize, usize, Vec<f32>)> = Vec::new();
-        model.forward_batch(&mut states, &rows, &mut scratch, |row, layer, scores| {
+        model.forward_batch(&mut states, &rows, &mut scratch, |_, row, layer, scores| {
             observed.push((row.seq, row.position, layer, scores.as_flat().to_vec()));
         });
         let batch_logits: Vec<Vec<f32>> =

@@ -70,7 +70,7 @@ fn tick(
         }
     }
     let mut observed = 0;
-    model.forward_batch(states, rows, scratch, |_, _, scores| observed += scores.len());
+    model.forward_batch(states, rows, scratch, |_, _, _, scores| observed += scores.len());
     for state in states.iter_mut() {
         for layer in 0..state.n_layers() {
             let extra = state.caches()[layer].len().saturating_sub(budget);

@@ -160,8 +160,8 @@ const TILE_FLOATS: usize = 4096;
 ///
 /// Each weight row is read once per column tile and accumulated into
 /// every batch row, so a batch streams the matrix once instead of once
-/// per row. Every output element still sums its terms in ascending `i`
-/// starting from `init`, which fixes its bits:
+/// per row. Every output element still adds its terms one at a time in
+/// ascending `i`, starting from `init`, which fixes its bits:
 ///
 /// * with `init = 0.0` each row equals [`gemv_outer_into`] (the `axpy`
 ///   accumulation order);
@@ -171,8 +171,10 @@ const TILE_FLOATS: usize = 4096;
 ///
 /// Columns are processed in tiles of at most `TILE_FLOATS / rows`
 /// (rounded to a multiple of 16, at least 64), so all accumulators of
-/// a tile stay in L1 however wide the matrix is; tiling never reorders
-/// the sum of any element.
+/// a tile stay in L1 however wide the matrix is. Weight rows are
+/// consumed four at a time: each accumulator is loaded once, takes its
+/// four terms in order in a register, and is stored once. Neither
+/// choice reorders the sum of any element.
 ///
 /// # Panics
 ///
@@ -200,10 +202,23 @@ pub fn gemm_outer_into(x: &[f32], m: &Matrix, init: f32, out: &mut [f32]) {
         return;
     }
     let tile = (TILE_FLOATS / rows / 16 * 16).max(64);
+    let quads = k / 4 * 4;
     for start in (0..n).step_by(tile) {
         let end = (start + tile).min(n);
-        for (i, w_row) in m.iter_rows().enumerate() {
-            let w = &w_row[start..end];
+        let w_tile = |i: usize| &m.row(i)[start..end];
+        for i in (0..quads).step_by(4) {
+            let (w0, w1, w2, w3) = (w_tile(i), w_tile(i + 1), w_tile(i + 2), w_tile(i + 3));
+            for (x_row, out_row) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                let &[a0, a1, a2, a3] = &x_row[i..i + 4] else { unreachable!("four inputs per quad") };
+                let lanes = out_row[start..end].iter_mut().zip(w0).zip(w1).zip(w2).zip(w3);
+                for ((((o, &v0), &v1), &v2), &v3) in lanes {
+                    // Left-associative: the four terms land in ascending `i`.
+                    *o = *o + a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
+                }
+            }
+        }
+        for i in quads..k {
+            let w = w_tile(i);
             for (x_row, out_row) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
                 let a = x_row[i];
                 for (o, &wv) in out_row[start..end].iter_mut().zip(w) {
@@ -314,7 +329,8 @@ mod tests {
 
     #[test]
     fn gemm_outer_matches_per_row_kernels_bit_for_bit() {
-        // Wide enough to span several column tiles at 24 rows.
+        // Wide enough to span several column tiles at 24 rows; `k` = 7
+        // exercises both the four-row groups and the leftover rows.
         let (k, n, rows) = (7, 300, 24);
         let m = Matrix::from_vec(k, n, (0..k * n).map(|i| ((i * 37) % 101) as f32 / 13.0 - 3.5).collect())
             .expect("sized");
