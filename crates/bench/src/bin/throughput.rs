@@ -1133,11 +1133,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          row, about 1.8-1.9 ms per small-model token in total)\",\n",
     );
     json.push_str(
-        "  \"engine_decode_note\": \"wall-clock on the host named by host_cpu; at one thread \
-         tokens/s grows with batch because each tick runs one row-batched, layer-major forward \
-         over every session (each weight matrix streams once per tick) and computes logits only \
-         for rows whose logits are read. With a forward pass per session it was flat at 532-621 \
-         tokens/s from batch 1 to 16\",\n",
+        "  \"engine_decode_note\": \"wall-clock on the host named by host_cpu, single runs on a \
+         shared host (expect tens of percent of noise per row); at one thread tokens/s grows \
+         with batch because each tick runs one row-batched, layer-major forward over every \
+         session (each weight matrix streams once per tick) and computes logits only for rows \
+         whose logits are read. From about 8 sessions the batched GEMMs are compute-bound, so \
+         per-token cost falls little further: single runs at 8 and 16 sessions have read either \
+         way round. With a forward pass per session it was flat at 532-621 tokens/s from batch 1 \
+         to 16\",\n",
     );
     json.push_str("  \"forward_path\": [\n");
     for (i, (name, alloc_ns, scratch_ns)) in forward_rows.iter().enumerate() {

@@ -25,7 +25,7 @@ pub fn apply_rope(x: &mut [f32], position: usize, theta: f32) {
 /// head, both `q` and `k`, and every layer.
 /// [`apply_rope_table`] with this table is bit-identical to
 /// [`apply_rope`].
-pub fn extend_rope_table(position: usize, dim: usize, theta: f32, table: &mut Vec<(f32, f32)>) {
+pub(crate) fn extend_rope_table(position: usize, dim: usize, theta: f32, table: &mut Vec<(f32, f32)>) {
     table.extend((0..dim / 2).map(|i| rope_sin_cos(i, dim, position, theta)));
 }
 
@@ -35,7 +35,7 @@ pub fn extend_rope_table(position: usize, dim: usize, theta: f32, table: &mut Ve
 /// # Panics
 ///
 /// Panics if `x` has a different number of channel pairs than `table`.
-pub fn apply_rope_table(x: &mut [f32], table: &[(f32, f32)]) {
+pub(crate) fn apply_rope_table(x: &mut [f32], table: &[(f32, f32)]) {
     assert_eq!(
         x.len(),
         2 * table.len(),

@@ -358,9 +358,9 @@ impl TransformerModel {
     /// `observe(state, row, layer, scores)` receives each row's
     /// post-softmax scores for each layer, with the row's sequence, as
     /// soon as the row has attended in that layer: layer-major, rows in
-    /// order within a layer. Per layer, a
-    /// sequence's observations therefore arrive in position order, which
-    /// is all a per-layer eviction policy can see. The tied LM head runs
+    /// order within a layer. Per layer, a sequence's observations
+    /// therefore arrive in position order, which is all a per-layer
+    /// eviction policy can see. The tied LM head runs
     /// only for rows with [`BatchRow::wants_logits`]; their logits are
     /// then readable through [`ForwardScratch::row_logits`], in row order.
     /// Row lists longer than [`MAX_PASS_ROWS`] run as consecutive passes.
